@@ -69,7 +69,7 @@ pub const FLOW_RULES: &[FlowRuleDef] = &[
         name: "lock-across-blocking",
         summary: "a lock guard is live across a blocking call (I/O, accept, channel wait)",
         doc: "Holding a mutex across a call that can block (file or socket I/O, `accept`, \
-              channel `recv`, `sleep`) stalls every other thread contending for that lock \
+              channel `recv`, `sleep`, `poll`) stalls every other thread contending for that lock \
               for the blocking call's full latency. Guard liveness is MUST dataflow: a \
               guard counts as held only where every executed path holds it, so `drop(g)` \
               on each branch silences the rule. The check is interprocedural: a call to a \
@@ -348,6 +348,7 @@ fn innermost<'a>(sites: &'a [GuardSite], fact: &SiteSet) -> Option<&'a GuardSite
 pub(crate) const DEFAULT_BLOCKING: &[&str] = &[
     "accept",
     "flush",
+    "poll",
     "read",
     "read_exact",
     "read_line",

@@ -221,7 +221,10 @@ fn pub_dead_item_suppressed() {
 fn lock_across_blocking_fires() {
     assert_eq!(
         lint_fixture("lock_across_blocking_fires.rs"),
-        vec![(12, "lock-across-blocking".to_string())]
+        vec![
+            (12, "lock-across-blocking".to_string()),
+            (23, "lock-across-blocking".to_string())
+        ]
     );
 }
 
@@ -325,17 +328,24 @@ fn interprocedural_layer_leaves_intraprocedural_verdicts_unchanged() {
     // intraprocedural flow fixtures the verdicts must stay identical —
     // same rule, same line, nothing extra, and the suppressed twins
     // stay silent.
-    let cases: [(&str, u32, &str); 5] = [
-        ("lock_across_blocking_fires.rs", 12, "lock-across-blocking"),
-        ("double_lock_fires.rs", 11, "double-lock"),
-        ("guard_across_loop_fires.rs", 13, "guard-across-loop"),
-        ("tainted_alloc_fires.rs", 6, "tainted-alloc"),
-        ("atomic_ordering_fires.rs", 10, "atomic-ordering"),
+    let cases: [(&str, &[u32], &str); 5] = [
+        (
+            "lock_across_blocking_fires.rs",
+            &[12, 23],
+            "lock-across-blocking",
+        ),
+        ("double_lock_fires.rs", &[11], "double-lock"),
+        ("guard_across_loop_fires.rs", &[13], "guard-across-loop"),
+        ("tainted_alloc_fires.rs", &[6], "tainted-alloc"),
+        ("atomic_ordering_fires.rs", &[10], "atomic-ordering"),
     ];
-    for (name, line, rule) in cases {
+    for (name, lines, rule) in cases {
         assert_eq!(
             lint_fixture(name),
-            vec![(line, rule.to_string())],
+            lines
+                .iter()
+                .map(|&line| (line, rule.to_string()))
+                .collect::<Vec<_>>(),
             "{name}: interprocedural layer changed the verdict"
         );
     }
@@ -385,7 +395,7 @@ fn new_rules_are_baseline_pinnable() {
         (
             &["lock_across_blocking_fires.rs"],
             "lock-across-blocking",
-            1,
+            2,
         ),
         (&["double_lock_fires.rs"], "double-lock", 1),
         (&["guard_across_loop_fires.rs"], "guard-across-loop", 1),

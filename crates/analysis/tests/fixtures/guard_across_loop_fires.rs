@@ -10,7 +10,7 @@ pub struct S {
 
 pub fn serve(s: &S) {
     let g = s.state.lock();
-    while poll() {
+    while next_event() {
         g.step();
     }
     drop(g);

@@ -9,7 +9,7 @@ pub struct S {
 pub fn serve(s: &S) {
     let g = s.state.lock();
     // sbs-lint: allow(guard-across-loop): drain-on-shutdown runs after the listener closed
-    while poll() {
+    while next_event() {
         g.step();
     }
     drop(g);

@@ -63,7 +63,8 @@ impl DriveMode {
 }
 
 /// Load-generator knobs.  The defaults are the acceptance-scale run:
-/// 1,000 clusters, 32 jobs each, batched 16 at a time over 8 threads.
+/// 1,000 clusters, 32 jobs each, batched 16 at a time over 8 threads,
+/// or one per core on a smaller host.
 #[derive(Debug, Clone)]
 pub struct LoadgenOpts {
     /// Number of tenant clusters driven.
@@ -93,7 +94,7 @@ impl Default for LoadgenOpts {
             clusters: 1_000,
             jobs_per_cluster: 32,
             batch: 16,
-            threads: 8,
+            threads: host_cores().min(8),
             seed: 42,
             capacity: 64,
             shards: 64,
@@ -109,10 +110,17 @@ impl LoadgenOpts {
         LoadgenOpts {
             clusters: 64,
             jobs_per_cluster: 8,
-            threads: 4,
+            threads: host_cores().min(4),
             ..Default::default()
         }
     }
+}
+
+/// Cores this process may run on.  Default client thread counts are
+/// capped by it: more clients than cores would oversubscribe the host
+/// and measure its scheduler rather than the fleet.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One worker's tally.
@@ -427,6 +435,7 @@ pub fn run(opts: &LoadgenOpts) -> Result<LoadgenReport, String> {
             "jobs_per_cluster": opts.jobs_per_cluster,
             "batch": opts.batch,
             "threads": opts.threads,
+            "cores": host_cores(),
             "seed": opts.seed,
             "capacity": opts.capacity,
             "shards": opts.shards,
@@ -568,7 +577,11 @@ mod tests {
 
     #[test]
     fn admission_outcome_is_deterministic_across_runs_and_thread_counts() {
-        let a = run(&LoadgenOpts::quick()).expect("run a");
+        let a = run(&LoadgenOpts {
+            threads: 4,
+            ..LoadgenOpts::quick()
+        })
+        .expect("run a");
         let b = run(&LoadgenOpts {
             threads: 1,
             ..LoadgenOpts::quick()

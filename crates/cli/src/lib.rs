@@ -98,12 +98,12 @@ OPTIONS (loadgen):
   --clusters N        tenant clusters driven (default 1000)
   --jobs N            jobs submitted per cluster (default 32)
   --batch N           jobs per batched submit request (default 16)
-  --threads N         worker threads, cluster-disjoint (default 8)
+  --threads N         worker threads, cluster-disjoint (default: min(8, cores))
   --seed N            stream seed (default 42)
   --capacity N        per-cluster machine size (default 64)
   --shards N          fleet shard locks (default 64)
   --tcp               drive over TCP sockets instead of in-process
-  --quick             smoke mode: 64 clusters x 8 jobs on 4 threads
+  --quick             smoke mode: 64 clusters x 8 jobs on min(4, cores) threads
   --min-throughput R  fail below R sustained submits/sec (default: off)
   --out FILE          where to write the sbs-loadgen/v1 document
                       (default BENCH_service.json; \"-\" skips the file)

@@ -11,11 +11,15 @@
 //! The loop is **event-driven on std only**: a nonblocking listener and
 //! nonblocking connections are swept in one readiness loop — accept
 //! what's pending, read what's readable into per-connection buffers,
-//! dispatch every complete line, flush what's writable — with a short
-//! sleep only when a full sweep found nothing to do.  No thread per
-//! connection: the connection count is bounded ([`MAX_CONNS`]), lines
-//! are bounded ([`MAX_LINE_BYTES`]), and connections idle for too many
-//! sweeps are dropped, so one stuck client cannot wedge the daemon.
+//! dispatch every complete line, flush what's writable.  When a full
+//! sweep found nothing to do, the loop blocks in one `poll(2)` over the
+//! listener and every connection, so a request that arrives is served
+//! as soon as its socket turns readable; the wait's 2 ms timeout bounds
+//! how long background work (departure replay, a shutdown flag set by
+//! another thread) waits.  No thread per connection: the connection
+//! count is bounded ([`MAX_CONNS`]), lines are bounded
+//! ([`MAX_LINE_BYTES`]), and connections silent for too many timed-out
+//! waits are dropped, so one stuck client cannot wedge the daemon.
 //!
 //! The loop serves anything implementing [`ServerHandler`]: the
 //! single-tenant [`Daemon`] here, or the multi-tenant fleet front end in
@@ -45,12 +49,15 @@ pub const MAX_CONNS: usize = 256;
 /// closed — a malformed client cannot grow server memory unboundedly.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Idle sweeps (each ending in a short sleep) before a silent
-/// connection is dropped.  Sweeps only count as idle when the *whole*
-/// loop found nothing to do, so a busy server never expires clients.
+/// Idle ticks before a silent connection is dropped.  A tick is one
+/// readiness wait that timed out with no socket ready, so with the
+/// 2 ms [`IDLE_SLEEP`] the limit is about 60 s of whole-server silence;
+/// a busy server never expires clients.
 const IDLE_TICK_LIMIT: u64 = 30_000;
 
-/// Sleep between sweeps when nothing was accepted, read, or written.
+/// Longest readiness wait after a sweep that found nothing to do.  Any
+/// socket turning ready ends the wait early; the timeout only bounds
+/// how stale wall-clock departure replay and the shutdown flag can get.
 const IDLE_SLEEP: Duration = Duration::from_millis(2);
 
 /// Locks the handler, recovering from mutex poisoning.
@@ -85,6 +92,94 @@ fn install_sigterm() {
 
 #[cfg(not(unix))]
 fn install_sigterm() {}
+
+/// One `struct pollfd` entry for `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+/// Blocks until the listener can accept, a live connection is readable,
+/// a connection with queued output is writable, or `timeout` elapses.
+/// `fds` is the caller's reusable buffer, so an idle wait allocates
+/// nothing once it has grown.  Returns `true` only when the wait timed
+/// out with nothing ready; a signal (`EINTR`) returns `false` at once
+/// so the caller re-checks its stop conditions.
+#[cfg(unix)]
+fn wait_ready(
+    fds: &mut Vec<PollFd>,
+    listener: &TcpListener,
+    conns: &[Conn],
+    timeout: Duration,
+) -> bool {
+    use std::os::unix::io::AsRawFd;
+    #[cfg(target_os = "linux")]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    const POLLOUT: i16 = 0x4;
+
+    fds.clear();
+    fds.push(PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    });
+    for conn in conns {
+        let mut events = 0;
+        if !conn.closing {
+            events |= POLLIN;
+        }
+        if !conn.outbuf.is_empty() {
+            events |= POLLOUT;
+        }
+        // Hang-ups and errors are reported whatever was asked, so a
+        // peer that vanishes wakes the loop and the next sweep sees its
+        // EOF or error.
+        fds.push(PollFd {
+            fd: conn.stream.as_raw_fd(),
+            events,
+            revents: 0,
+        });
+    }
+    let nfds = Nfds::try_from(fds.len()).unwrap_or(Nfds::MAX);
+    let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fds` is a live, exclusively borrowed buffer of `nfds`
+    // `#[repr(C)]` pollfd entries, every fd is owned by `listener` or a
+    // connection in `conns` and stays open for the call, and poll(2)
+    // writes only the `revents` fields within that length.
+    // sbs-lint: allow(forbid-unsafe): libc poll(2) is the readiness wait std does not expose; the buffer is a live slice of repr(C) pollfd entries over fds the caller owns
+    let ready = unsafe { poll(fds.as_mut_ptr(), nfds, ms) };
+    if ready < 0 {
+        if std::io::Error::last_os_error().kind() == std::io::ErrorKind::Interrupted {
+            return false;
+        }
+        // An unexpected poll failure degrades to the plain timed wait
+        // rather than a hot loop.
+        std::thread::sleep(timeout);
+        return true;
+    }
+    ready == 0
+}
+
+/// Non-unix fallback: a plain timed sleep, which always counts as a
+/// timed-out wait.
+#[cfg(not(unix))]
+fn wait_ready(
+    _fds: &mut Vec<PollFd>,
+    _listener: &TcpListener,
+    _conns: &[Conn],
+    timeout: Duration,
+) -> bool {
+    std::thread::sleep(timeout);
+    true
+}
 
 /// One HTTP probe answer: status line, content type and body.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -220,7 +315,7 @@ struct Conn {
     inbuf: Vec<u8>,
     /// Bytes queued for writing (responses survive `WouldBlock`).
     outbuf: Vec<u8>,
-    /// Consecutive whole-loop-idle sweeps with no traffic here.
+    /// Consecutive timed-out readiness waits with no traffic here.
     idle_ticks: u64,
     /// Close once `outbuf` drains (EOF seen or HTTP probe answered).
     closing: bool,
@@ -281,6 +376,7 @@ impl<H: ServerHandler> Server<H> {
         install_sigterm();
         listener.set_nonblocking(true)?;
         let mut conns: Vec<Conn> = Vec::new();
+        let mut fds: Vec<PollFd> = Vec::new();
         while !self.stopping() {
             {
                 let mut h = lock_handler(&self.handler);
@@ -294,11 +390,10 @@ impl<H: ServerHandler> Server<H> {
                 }
             }
             conns.retain(|c| !c.dead && c.idle_ticks < IDLE_TICK_LIMIT);
-            if !active {
+            if !active && wait_ready(&mut fds, &listener, &conns, IDLE_SLEEP) {
                 for conn in &mut conns {
                     conn.idle_ticks += 1;
                 }
-                std::thread::sleep(IDLE_SLEEP);
             }
         }
         self.shutdown.store(true, Ordering::SeqCst);
@@ -486,4 +581,92 @@ fn http_response(reply: &HttpReply) -> String {
         reply.body.len(),
         reply.body
     )
+}
+
+#[cfg(test)]
+#[cfg(unix)]
+mod tests {
+    use super::*;
+    use crate::clock::VirtualClock;
+    use crate::daemon::ServiceConfig;
+    use sbs_core::PolicySpec;
+    use std::time::Instant;
+
+    /// A loopback pair: the listener, its accepted side wrapped as a
+    /// server connection, and the client end.
+    fn pair() -> (TcpListener, Conn, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        accepted.set_nonblocking(true).expect("nonblocking");
+        (listener, Conn::new(accepted), client)
+    }
+
+    #[test]
+    fn wait_ready_times_out_when_nothing_is_pending() {
+        let (listener, conn, _client) = pair();
+        let conns = [conn];
+        let mut fds = Vec::new();
+        let began = Instant::now();
+        assert!(wait_ready(
+            &mut fds,
+            &listener,
+            &conns,
+            Duration::from_millis(20)
+        ));
+        let took = began.elapsed();
+        assert!(
+            took >= Duration::from_millis(19),
+            "returned early: {took:?}"
+        );
+    }
+
+    #[test]
+    fn wait_ready_wakes_when_a_byte_arrives() {
+        let (listener, conn, mut client) = pair();
+        let conns = [conn];
+        let mut fds = Vec::new();
+        let began = Instant::now();
+        let timed_out = std::thread::scope(|s| {
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                client.write_all(b"x").expect("write");
+                client
+            });
+            wait_ready(&mut fds, &listener, &conns, Duration::from_secs(1))
+        });
+        let took = began.elapsed();
+        assert!(!timed_out, "a readable connection is not a timeout");
+        assert!(
+            took < Duration::from_millis(500),
+            "missed the wakeup: {took:?}"
+        );
+    }
+
+    #[test]
+    fn wait_ready_wakes_on_peer_close_and_the_next_sweep_drops_it() {
+        let (listener, conn, client) = pair();
+        drop(client);
+        let mut conns = [conn];
+        let mut fds = Vec::new();
+        let began = Instant::now();
+        let timed_out = wait_ready(&mut fds, &listener, &conns, Duration::from_secs(1));
+        let took = began.elapsed();
+        assert!(!timed_out, "a hung-up peer is not a timeout");
+        assert!(
+            took < Duration::from_millis(500),
+            "missed the hang-up: {took:?}"
+        );
+
+        let server = Server::new(
+            Daemon::fresh(ServiceConfig::new(8, PolicySpec::FcfsBackfill)),
+            VirtualClock::default(),
+        );
+        let [conn] = &mut conns;
+        server.service_conn(conn);
+        assert!(
+            conn.dead,
+            "EOF then an empty out-buffer must end the connection"
+        );
+    }
 }

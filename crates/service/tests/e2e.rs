@@ -235,3 +235,99 @@ fn tcp_server_speaks_json_and_http() {
     assert_eq!(v["ok"], true);
     handle.join().expect("join").expect("clean exit");
 }
+
+/// Serves a fresh virtual-clock FCFS-backfill daemon on an ephemeral
+/// loopback port from a thread called `name`.
+fn spawn_server(
+    name: &str,
+) -> (
+    std::net::SocketAddr,
+    std::sync::Arc<std::sync::atomic::AtomicBool>,
+    std::thread::JoinHandle<std::io::Result<()>>,
+) {
+    let daemon = Daemon::fresh(ServiceConfig::new(8, PolicySpec::FcfsBackfill));
+    let server = Server::new(daemon, VirtualClock::default());
+    let stop = server.shutdown_flag();
+    let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let handle = std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || server.run(listener))
+        .expect("spawn");
+    (addr, stop, handle)
+}
+
+/// Round trips on one connection are bounded by the server's wakeup,
+/// not by a fixed idle sleep: a loop that slept 2 ms whenever a sweep
+/// found nothing to do took over 400 ms for these 200 submits.
+#[test]
+fn sequential_round_trips_are_not_paced_by_an_idle_sleep() {
+    let (addr, stop, handle) = spawn_server("round-trips");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut response = String::new();
+    let began = std::time::Instant::now();
+    for i in 0..200u64 {
+        let submit = 100 * (i + 1);
+        writeln!(
+            stream,
+            r#"{{"op":"submit","nodes":1,"runtime":10,"submit":{submit}}}"#
+        )
+        .expect("write");
+        response.clear();
+        reader.read_line(&mut response).expect("read");
+        let v: serde_json::Value = serde_json::from_str(response.trim()).expect("json");
+        assert_eq!(v["id"].as_u64(), Some(i), "{response}");
+    }
+    let took = began.elapsed();
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().expect("join").expect("clean exit");
+    assert!(
+        took < std::time::Duration::from_millis(150),
+        "200 round trips took {took:?}"
+    );
+}
+
+/// Cumulative user+system CPU ticks of the calling process's thread
+/// named `name` (Linux `/proc/self/task/*/stat`, fields 14 and 15).
+#[cfg(target_os = "linux")]
+fn thread_cpu_ticks(name: &str) -> u64 {
+    for entry in std::fs::read_dir("/proc/self/task").expect("task dir") {
+        let dir = entry.expect("task entry").path();
+        let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+        if comm.trim() != name {
+            continue;
+        }
+        let stat = std::fs::read_to_string(dir.join("stat")).expect("stat");
+        let fields: Vec<&str> = stat
+            .rsplit_once(')')
+            .expect("comm field")
+            .1
+            .split_whitespace()
+            .collect();
+        return fields[11].parse::<u64>().expect("utime")
+            + fields[12].parse::<u64>().expect("stime");
+    }
+    panic!("no thread named {name}");
+}
+
+/// An idle server stays idle: with one connected but silent client the
+/// readiness wait times out instead of spinning.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_server_with_a_silent_client_stays_off_the_cpu() {
+    const NAME: &str = "idle-server";
+    let (addr, stop, handle) = spawn_server(NAME);
+
+    let _silent = TcpStream::connect(addr).expect("connect");
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    let before = thread_cpu_ticks(NAME);
+    std::thread::sleep(std::time::Duration::from_secs(1));
+    let spent = thread_cpu_ticks(NAME) - before;
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    handle.join().expect("join").expect("clean exit");
+    // Clock ticks are 10 ms at the usual USER_HZ of 100: 5% of one core
+    // over the second is 5 ticks.
+    assert!(spent < 5, "idle server used {spent} CPU ticks in 1 s");
+}
